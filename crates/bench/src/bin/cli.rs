@@ -18,12 +18,10 @@
 //!   --json                  print one machine-readable JSON result line
 //!                           (the service protocol's JobResult) instead of
 //!                           the human report
-//!   --portfolio <n|auto>    race n diversified workers instead of one search
-//!                           (auto = one per host core)
 //!   --window <n|auto>       parallel window search: n workers over disjoint
 //!                           cost sub-windows (auto = one per host core)
-//!   --deterministic         bit-stable parallel mode (barrier rounds /
-//!                           join all, lowest index wins)
+//!   --deterministic         bit-stable window search (barrier rounds,
+//!                           index-ordered fold)
 //!   --no-encoder-opt        disable the encoder optimization layer (gate
 //!                           hash-consing, interval narrowing, SAT
 //!                           preprocessing) — the pre-optimization baseline;
@@ -57,8 +55,8 @@
 //!   --queue <n>             bounded queue depth (default 16)
 //!   --cache <n>             result-cache capacity (default 64)
 //!   --timeout-ms <n>        default per-job timeout
-//!   plus the solve options --max-conflicts / --certify / --portfolio /
-//!   --window / --deterministic, applied to every job
+//!   plus the solve options --max-conflicts / --certify / --window /
+//!   --deterministic, applied to every job
 //!
 //! submit requests (all take --addr <host:port> and --json):
 //!   solve <workload.json> [--objective o] [--medium k] [--timeout-ms n]
@@ -99,13 +97,13 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  optalloc-cli generate <name> <out.json>\n  \
          optalloc-cli solve <workload.json> [--objective o] [--medium k] \
-         [--max-conflicts n] [--timeout-ms n] [--json] [--portfolio n|auto] \
-         [--window n|auto] [--deterministic] [--no-encoder-opt] \
+         [--max-conflicts n] [--timeout-ms n] [--json] [--window n|auto] \
+         [--deterministic] [--no-encoder-opt] \
          [--search engine] [--certify] [--proof file] [--max-slot n] \
          [--out alloc.json] [--trace file] [--metrics] [--progress]\n  \
          optalloc-cli serve [--addr host:port] [--workers n] [--queue n] \
          [--cache n] [--timeout-ms n] [--max-conflicts n] [--certify] \
-         [--search engine] [--portfolio n|auto] [--window n|auto] \
+         [--search engine] [--window n|auto] \
          [--deterministic]\n  \
          optalloc-cli submit solve <workload.json> | delta <ops.json> \
          [--base fp] | status | metrics | shutdown  [--addr host:port] [--json]"
@@ -257,7 +255,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
     let mut medium = 0u32;
     let mut max_conflicts = None;
     let mut out_path: Option<String> = None;
-    let mut portfolio: Option<usize> = None;
     let mut window: Option<usize> = None;
     let mut deterministic = false;
     let mut certify = false;
@@ -282,7 +279,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
             "--max-conflicts" => max_conflicts = it.next().and_then(|s| s.parse().ok()),
             "--timeout-ms" => timeout_ms = it.next().and_then(|s| s.parse().ok()),
             "--json" => json = true,
-            "--portfolio" => portfolio = parse_workers(it.next()),
             "--window" => window = parse_workers(it.next()),
             "--deterministic" => deterministic = true,
             "--certify" => certify = true,
@@ -325,16 +321,12 @@ fn cmd_solve(args: &[String]) -> ExitCode {
 
     let mut opts = SolveOptions {
         max_conflicts,
-        strategy: match (window, portfolio) {
-            (Some(workers), _) => Strategy::WindowSearch {
+        strategy: match window {
+            Some(workers) => Strategy::WindowSearch {
                 workers,
                 deterministic,
             },
-            (None, Some(workers)) => Strategy::Portfolio {
-                workers,
-                deterministic,
-            },
-            (None, None) => Strategy::Single,
+            None => Strategy::Single,
         },
         encoder_opt,
         search,
@@ -565,7 +557,6 @@ fn cmd_solve(args: &[String]) -> ExitCode {
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut config = ServiceConfig::default();
-    let mut portfolio: Option<usize> = None;
     let mut window: Option<usize> = None;
     let mut deterministic = false;
     let mut it = args[1..].iter();
@@ -602,7 +593,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--portfolio" => portfolio = parse_workers(it.next()),
             "--window" => window = parse_workers(it.next()),
             "--deterministic" => deterministic = true,
             other => {
@@ -611,16 +601,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    config.solve.strategy = match (window, portfolio) {
-        (Some(workers), _) => Strategy::WindowSearch {
+    config.solve.strategy = match window {
+        Some(workers) => Strategy::WindowSearch {
             workers,
             deterministic,
         },
-        (None, Some(workers)) => Strategy::Portfolio {
-            workers,
-            deterministic,
-        },
-        (None, None) => Strategy::Single,
+        None => Strategy::Single,
     };
     let mut server = match serve(Service::new(config), &addr) {
         Ok(s) => s,

@@ -30,7 +30,6 @@
 use std::sync::Arc;
 
 use crate::blast::{blast_with, Backend, EncoderOpt};
-use crate::bounds::{BoundLattice, BoundWatch};
 use crate::certificate::{Certificate, CertifiedWindow, WindowProof};
 use crate::prober::{CostProber, Probe};
 use crate::problem::{IntProblem, Model};
@@ -47,12 +46,8 @@ pub enum BinSearchMode {
     Incremental,
 }
 
-/// Callback invoked whenever the search finds a new best (cost, model)
-/// incumbent — before the search has proven it optimal.
-pub type IncumbentCallback = Arc<dyn Fn(i64, &Model) + Send + Sync>;
-
 /// Options for [`IntProblem::minimize`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct MinimizeOptions {
     /// Gate encoding backend.
     pub backend: Backend,
@@ -66,24 +61,10 @@ pub struct MinimizeOptions {
     /// expensive unbounded `SOLVE(φ)` and halve the search range.
     pub initial_upper: Option<i64>,
     /// Base solver tunables applied to every solver the search creates —
-    /// including the cooperative [`SolverConfig::interrupt`] flag and the
-    /// diversification knobs (`phase_seed`, `restart_unit`, decays) used by
-    /// the portfolio runner. `max_conflicts` above, when set, overrides
+    /// including the cooperative [`SolverConfig::interrupt`] flag.
+    /// `max_conflicts` above, when set, overrides
     /// `solver_config.max_conflicts`.
     pub solver_config: SolverConfig,
-    /// Two-sided cost bounds shared between cooperating searches (portfolio
-    /// or window-search workers). Both sides are folded in between `SOLVE`
-    /// calls: the probe range tightens to `[max(L, lattice.lower),
-    /// min(U, lattice.upper))`. Written on every move — locally found
-    /// incumbents tighten the upper side (`fetch_min`), UNSAT probes
-    /// certify `mid + 1` into the lower side (`fetch_max`), so any worker's
-    /// refutation shrinks everyone's window. When the search bottoms out
-    /// against an external upper bound it reports
-    /// [`MinimizeStatus::ExternalOptimal`] since the witnessing model lives
-    /// in another worker.
-    pub bounds: Option<Arc<BoundLattice>>,
-    /// Invoked with every new local incumbent (cost, model) as it is found.
-    pub on_incumbent: Option<IncumbentCallback>,
     /// Encoder-level optimizations (hash-consing, interval narrowing, SAT
     /// preprocessing) applied to every encoding the search builds. All on
     /// by default; [`EncoderOpt::none`] reproduces the unoptimized baseline
@@ -99,22 +80,6 @@ pub struct MinimizeOptions {
     pub certify: bool,
 }
 
-impl std::fmt::Debug for MinimizeOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MinimizeOptions")
-            .field("backend", &self.backend)
-            .field("mode", &self.mode)
-            .field("max_conflicts", &self.max_conflicts)
-            .field("initial_upper", &self.initial_upper)
-            .field("solver_config", &self.solver_config)
-            .field("bounds", &self.bounds)
-            .field("on_incumbent", &self.on_incumbent.as_ref().map(|_| ".."))
-            .field("encoder_opt", &self.encoder_opt)
-            .field("certify", &self.certify)
-            .finish()
-    }
-}
-
 impl Default for MinimizeOptions {
     fn default() -> MinimizeOptions {
         MinimizeOptions {
@@ -123,8 +88,6 @@ impl Default for MinimizeOptions {
             max_conflicts: None,
             initial_upper: None,
             solver_config: SolverConfig::default(),
-            bounds: None,
-            on_incumbent: None,
             encoder_opt: EncoderOpt::default(),
             certify: false,
         }
@@ -148,37 +111,6 @@ impl MinimizeOptions {
             solver.config.proof = true;
         }
         solver
-    }
-
-    /// The externally shared incumbent cost, or `i64::MAX` when solo.
-    pub(crate) fn external_upper(&self) -> i64 {
-        self.bounds.as_ref().map(|b| b.upper()).unwrap_or(i64::MAX)
-    }
-
-    /// The externally certified lower bound, or `i64::MIN` when solo.
-    pub(crate) fn external_lower(&self) -> i64 {
-        self.bounds.as_ref().map(|b| b.lower()).unwrap_or(i64::MIN)
-    }
-
-    /// Publishes a new local incumbent to the cooperating searches.
-    pub(crate) fn publish(&self, value: i64, model: &Model) {
-        if let Some(bounds) = &self.bounds {
-            bounds.publish_upper(value);
-        }
-        if let Some(cb) = &self.on_incumbent {
-            cb(value, model);
-        }
-    }
-
-    /// Publishes a certified lower bound (an UNSAT proof over the range
-    /// below it) to the cooperating searches. Sound because every local
-    /// lower bound is the join of globally valid facts: the chain of local
-    /// UNSAT windows is anchored at `cost.lo` and each fold of the lattice
-    /// lower bound is itself globally certified.
-    pub(crate) fn publish_lower(&self, bound: i64) {
-        if let Some(bounds) = &self.bounds {
-            bounds.publish_lower(bound);
-        }
     }
 }
 
@@ -204,14 +136,6 @@ pub enum MinimizeStatus {
     Interrupted {
         /// Best (value, model) discovered before the interrupt.
         incumbent: Option<(i64, Model)>,
-    },
-    /// The search proved no solution cheaper than the externally shared
-    /// incumbent exists, so the optimum equals that value — but the
-    /// witnessing model belongs to the cooperating search that published it
-    /// (see [`MinimizeOptions::shared_bound`]).
-    ExternalOptimal {
-        /// The proven optimal cost, attained by another worker's model.
-        value: i64,
     },
 }
 
@@ -244,14 +168,11 @@ pub struct MinimizeOutcome {
     /// Aggregated solver statistics over all calls.
     pub stats: SolverStats,
     /// Proof traces recorded when [`MinimizeOptions::certify`] is set —
-    /// present on *every* status (an interrupted worker still contributes
-    /// its certified windows to a cooperating run's stitched certificate).
+    /// present on *every* status, including runs that ended without an
+    /// optimum.
     pub proofs: Vec<WindowProof>,
     /// The assembled optimality certificate; `Some` only for a certified
-    /// run that ended [`MinimizeStatus::Optimal`]. A solo run's certificate
-    /// is self-contained; a cooperating worker's may have coverage gaps
-    /// filled by other workers (the portfolio layer stitches the merged
-    /// certificate from all workers' `proofs`).
+    /// run that ended [`MinimizeStatus::Optimal`].
     pub certificate: Option<Certificate>,
 }
 
@@ -328,36 +249,16 @@ fn minimize_incremental(
         }
         Probe::Sat { value, model } => (value, model),
     };
-    opts.publish(best_value, &best_model);
     let mut lower = cost.lo;
     let mut upper = best_value;
-    // Checked mode: this reader's view of the shared lattice must be
-    // monotone (lower only rises, upper only falls).
-    let mut bound_watch = opts.solver_config.paranoid.then(BoundWatch::new);
 
-    let external = loop {
-        if let (Some(w), Some(b)) = (bound_watch.as_mut(), opts.bounds.as_deref()) {
-            w.observe(b);
-        }
-        // Between SOLVE calls, fold in both sides of the shared lattice:
-        // nothing at or above `min(upper, external upper)` needs probing
-        // (somebody already holds a model that cheap), and nothing below
-        // the external lower bound can exist (somebody refuted it). The
-        // lower bound may overtake the upper mid-probe — that simply means
-        // the window is exhausted, and the loop terminates.
-        let external = opts.external_upper();
-        let proven_hi = upper.min(external);
-        lower = lower.max(opts.external_lower());
-        if lower >= proven_hi {
-            break external;
-        }
-        let mid = lower + (proven_hi - lower) / 2;
+    while lower < upper {
+        let mid = lower + (upper - lower) / 2;
         match prober.probe(Some((lower, mid))) {
             Probe::Sat { value: k, model } => {
                 debug_assert!(k >= lower && k <= mid);
                 best_value = k;
                 best_model = model;
-                opts.publish(best_value, &best_model);
                 upper = k;
             }
             Probe::Unsat => {
@@ -365,10 +266,8 @@ fn minimize_incremental(
                 // `L := M + 1`. (The paper's §5.2 listing prints `L := M`,
                 // which never terminates once R = L + 1: M = L, the probe
                 // over [L, L] repeats forever. See the regression test
-                // `terminates_from_r_equals_l_plus_one` below.) The new
-                // lower bound is globally certified: share it.
+                // `terminates_from_r_equals_l_plus_one` below.)
                 lower = mid + 1;
-                opts.publish_lower(lower);
             }
             Probe::Unknown => {
                 outcome.status = MinimizeStatus::Unknown {
@@ -383,18 +282,11 @@ fn minimize_incremental(
                 return finish(outcome, &mut prober, cost.lo);
             }
         }
-    };
+    }
 
-    outcome.status = if upper <= external {
-        MinimizeStatus::Optimal {
-            value: best_value,
-            model: best_model,
-        }
-    } else {
-        // The search bottomed out against an external incumbent strictly
-        // better than the local one: the optimum is proven to equal it, but
-        // the model lives in the worker that published the bound.
-        MinimizeStatus::ExternalOptimal { value: external }
+    outcome.status = MinimizeStatus::Optimal {
+        value: best_value,
+        model: best_model,
     };
     finish(outcome, &mut prober, cost.lo)
 }
@@ -515,24 +407,11 @@ fn minimize_fresh(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
         }
         SolveResult::Sat => w0.unwrap(),
     };
-    opts.publish(best_value, &best_model);
     let mut lower = cost.lo;
     let mut upper = best_value;
-    let mut bound_watch = opts.solver_config.paranoid.then(BoundWatch::new);
 
-    let external = loop {
-        if let (Some(w), Some(b)) = (bound_watch.as_mut(), opts.bounds.as_deref()) {
-            w.observe(b);
-        }
-        // Fold in both sides of the shared lattice (see the incremental
-        // variant for the protocol).
-        let external = opts.external_upper();
-        let proven_hi = upper.min(external);
-        lower = lower.max(opts.external_lower());
-        if lower >= proven_hi {
-            break external;
-        }
-        let mid = lower + (proven_hi - lower) / 2;
+    while lower < upper {
+        let mid = lower + (upper - lower) / 2;
         let (r, w) = probe(Some((lower, mid)), &mut outcome);
         match r {
             SolveResult::Sat => {
@@ -540,16 +419,12 @@ fn minimize_fresh(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
                 debug_assert!(k >= lower && k <= mid);
                 best_value = k;
                 best_model = m;
-                opts.publish(best_value, &best_model);
                 upper = k;
             }
             // UNSAT over [L, M] proves the optimum exceeds M: `L := M + 1`,
             // not the paper's misprinted `L := M` (which loops forever once
             // R = L + 1 — see `terminates_from_r_equals_l_plus_one`).
-            SolveResult::Unsat => {
-                lower = mid + 1;
-                opts.publish_lower(lower);
-            }
+            SolveResult::Unsat => lower = mid + 1,
             SolveResult::Unknown => {
                 outcome.status = MinimizeStatus::Unknown {
                     incumbent: Some((best_value, best_model)),
@@ -563,26 +438,20 @@ fn minimize_fresh(problem: &IntProblem, cost: IntVar, opts: &MinimizeOptions) ->
                 return outcome;
             }
         }
-    };
-
-    outcome.status = if upper <= external {
-        MinimizeStatus::Optimal {
-            value: best_value,
-            model: best_model,
-        }
-    } else {
-        MinimizeStatus::ExternalOptimal { value: external }
-    };
-    if opts.certify {
-        if let MinimizeStatus::Optimal { value, model } = &outcome.status {
-            outcome.certificate = Some(Certificate {
-                optimum: *value,
-                cost_lo: cost.lo,
-                witness: model.clone(),
-                proofs: outcome.proofs.clone(),
-            });
-        }
     }
+
+    if opts.certify {
+        outcome.certificate = Some(Certificate {
+            optimum: best_value,
+            cost_lo: cost.lo,
+            witness: best_model.clone(),
+            proofs: outcome.proofs.clone(),
+        });
+    }
+    outcome.status = MinimizeStatus::Optimal {
+        value: best_value,
+        model: best_model,
+    };
     outcome
 }
 
@@ -697,108 +566,6 @@ mod tests {
         match p.minimize(x, &opts).status {
             MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 3),
             ref s => panic!("expected Optimal, got {s:?}"),
-        }
-    }
-
-    /// A shared bound below the local optimum is picked up between probes:
-    /// the search proves nothing cheaper exists locally and defers to the
-    /// external witness.
-    #[test]
-    fn external_bound_short_circuits() {
-        let mut p = IntProblem::new();
-        let x = p.int_var(0, 100);
-        p.assert(x.expr().ge(7));
-
-        // Another "worker" already holds a model of cost 7.
-        let shared = Arc::new(BoundLattice::new());
-        shared.publish_upper(7);
-        let opts = MinimizeOptions {
-            bounds: Some(shared.clone()),
-            ..MinimizeOptions::default()
-        };
-        match p.minimize(x, &opts).status {
-            // Either the local probe also reached 7 (Optimal) or the search
-            // bottomed out against the shared bound first.
-            MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 7),
-            MinimizeStatus::ExternalOptimal { value } => assert_eq!(value, 7),
-            ref s => panic!("unexpected status {s:?}"),
-        }
-        // The local search must never publish anything worse than 7, and it
-        // certifies the matching lower bound (UNSAT below 7).
-        assert_eq!(shared.upper(), 7);
-        assert!(shared.lower() <= 7);
-    }
-
-    /// An externally certified lower bound skips the cheap half outright:
-    /// with `lower = optimum` pre-seeded, the search needs no refutation
-    /// probes at all — one SAT call lands on the optimum and the fold
-    /// closes the window.
-    #[test]
-    fn external_lower_bound_prunes_probes() {
-        for mode in [BinSearchMode::Incremental, BinSearchMode::Fresh] {
-            let mut p = IntProblem::new();
-            let x = p.int_var(0, 100);
-            p.assert(x.expr().ge(7));
-
-            let shared = Arc::new(BoundLattice::new());
-            shared.publish_lower(7);
-            let opts = MinimizeOptions {
-                mode,
-                bounds: Some(shared.clone()),
-                // Warm-start the incumbent at the optimum so the remaining
-                // window [7, 7) is empty after the first fold.
-                initial_upper: Some(7),
-                ..MinimizeOptions::default()
-            };
-            let out = p.minimize(x, &opts);
-            match out.status {
-                MinimizeStatus::Optimal { value, .. } => assert_eq!(value, 7, "{mode:?}"),
-                ref s => panic!("{mode:?}: expected Optimal, got {s:?}"),
-            }
-            assert_eq!(out.solve_calls, 1, "{mode:?}: expected a single probe");
-        }
-    }
-
-    /// Bound-crossing race: the `fetch_max` lower bound overtaking the
-    /// `fetch_min` upper bound must terminate the search, not loop or
-    /// panic. Covers both a *pre-crossed* lattice and a crossing that lands
-    /// *mid-search* (published from the incumbent callback, i.e. while the
-    /// search holds a model but has not folded the lattice yet).
-    #[test]
-    fn bound_crossing_terminates() {
-        for mode in [BinSearchMode::Incremental, BinSearchMode::Fresh] {
-            // Pre-crossed: lower = 50 > upper = 3 before the search starts.
-            let mut p = IntProblem::new();
-            let x = p.int_var(0, 100);
-            p.assert(x.expr().ge(7));
-            let crossed = Arc::new(BoundLattice::with_bounds(50, 3));
-            let opts = MinimizeOptions {
-                mode,
-                bounds: Some(crossed),
-                ..MinimizeOptions::default()
-            };
-            // Must return; any verdict is acceptable under a (deliberately
-            // unsound) pre-crossed lattice, panics and hangs are not.
-            let _ = p.minimize(x, &opts);
-
-            // Mid-search crossing: as soon as the first incumbent appears,
-            // "another worker" slams the lower bound far above it.
-            let lattice = Arc::new(BoundLattice::new());
-            let cb_lattice = Arc::clone(&lattice);
-            let opts = MinimizeOptions {
-                mode,
-                bounds: Some(Arc::clone(&lattice)),
-                on_incumbent: Some(Arc::new(move |value, _| {
-                    cb_lattice.publish_lower(value + 10);
-                })),
-                ..MinimizeOptions::default()
-            };
-            let out = p.minimize(x, &opts);
-            // The next fold sees lower > upper and stops with the incumbent.
-            match out.status {
-                MinimizeStatus::Optimal { value, .. } => assert!(value >= 7, "{mode:?}"),
-                ref s => panic!("{mode:?}: expected Optimal, got {s:?}"),
-            }
         }
     }
 }

@@ -26,13 +26,12 @@
 //! without gaps. Witness replay lives a layer up (in `optalloc-core`), where
 //! the domain semantics are known.
 //!
-//! For parallel runs (portfolio racing, window search) each worker
-//! contributes a [`WindowProof`]; soundness of stitching follows from the
-//! bound-lattice publication discipline — a worker only publishes a lower
-//! bound after an exhaustive UNSAT verdict on a window anchored at the
-//! then-global lower bound, so the union of all workers' certified windows
-//! is gap-free whenever the race reached `Optimal`. `verify` does not trust
-//! that argument: it re-checks coverage from the recorded windows alone.
+//! For window search each worker contributes a [`WindowProof`]; soundness
+//! of stitching follows from the scheduler's discipline — the certified
+//! lower bound only advances over contiguously refuted windows, so the
+//! union of all workers' certified windows is gap-free whenever the search
+//! reached `Optimal`. `verify` does not trust that argument: it re-checks
+//! coverage from the recorded windows alone.
 
 use crate::problem::Model;
 use optalloc_sat::{check_proof, CheckError, Lit};

@@ -51,11 +51,9 @@ mod problem;
 mod triplet;
 mod warm;
 
-pub use binsearch::{
-    BinSearchMode, EncodeStats, IncumbentCallback, MinimizeOptions, MinimizeOutcome, MinimizeStatus,
-};
+pub use binsearch::{BinSearchMode, EncodeStats, MinimizeOptions, MinimizeOutcome, MinimizeStatus};
 pub use blast::{blast, blast_with, Backend, Blast, EncoderOpt};
-pub use bounds::{BoundLattice, BoundWatch, Interval};
+pub use bounds::Interval;
 pub use certificate::{
     Certificate, CertificateError, CertificateSummary, CertifiedWindow, WindowProof,
 };

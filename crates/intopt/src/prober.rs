@@ -4,8 +4,8 @@
 //! and answers `SOLVE(φ ∧ lo ≤ cost ≤ hi)` queries against arbitrary
 //! windows, carrying every learned clause across probes (the paper's §7
 //! reuse). It is the engine under both the sequential `BIN_SEARCH` loop
-//! ([`crate::BinSearchMode::Incremental`]) and the portfolio's parallel
-//! window scheduler, which assigns each worker's prober a disjoint
+//! ([`crate::BinSearchMode::Incremental`]) and the parallel window
+//! scheduler, which assigns each worker's prober a disjoint
 //! sub-window of the remaining cost range.
 //!
 //! Each bounded probe allocates a fresh guard literal, attaches the window

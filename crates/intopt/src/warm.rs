@@ -200,7 +200,6 @@ impl WarmEngine {
         if !self.opts.certify {
             let last_optimum = match &outcome.status {
                 MinimizeStatus::Optimal { value, .. } => Some(*value),
-                MinimizeStatus::ExternalOptimal { value } => Some(*value),
                 _ => hint,
             };
             self.state = Some(WarmState {
@@ -214,7 +213,7 @@ impl WarmEngine {
 
 /// One `BIN_SEARCH` run over an already-encoded prober, with optional
 /// hint-guided first probes and an optional hard cost window. Mirrors
-/// `minimize_incremental` (same lattice folds, same `L := M + 1` fix) but
+/// `minimize_incremental` (same `L := M + 1` fix) but
 /// reports per-run statistics — a reused prober's counters are cumulative,
 /// so the outcome is the delta against the entry snapshot.
 fn search(
@@ -292,7 +291,6 @@ fn search(
         }
         Probe::Sat { value, model } => (value, model),
     };
-    opts.publish(best_value, &best_model);
     let mut lower = base_lo;
     let mut upper = best_value;
     // With a hint, spend the first bisection confirming the incumbent:
@@ -300,31 +298,23 @@ fn search(
     // one step instead of log₂(range) halvings.
     let mut confirm_first = hint.is_some();
 
-    let external = loop {
-        let external = opts.external_upper();
-        let proven_hi = upper.min(external);
-        lower = lower.max(opts.external_lower());
-        if lower >= proven_hi {
-            break external;
-        }
+    while lower < upper {
         let mid = if std::mem::take(&mut confirm_first) {
-            proven_hi - 1
+            upper - 1
         } else {
-            lower + (proven_hi - lower) / 2
+            lower + (upper - lower) / 2
         };
         match prober.probe(Some((lower, mid))) {
             Probe::Sat { value: k, model } => {
                 debug_assert!(k >= lower && k <= mid);
                 best_value = k;
                 best_model = model;
-                opts.publish(best_value, &best_model);
                 upper = k;
             }
             Probe::Unsat => {
                 // UNSAT over [L, M] proves the optimum exceeds M (the
                 // paper's misprinted `L := M` never terminates).
                 lower = mid + 1;
-                opts.publish_lower(lower);
             }
             Probe::Unknown => {
                 outcome.status = MinimizeStatus::Unknown {
@@ -339,15 +329,11 @@ fn search(
                 return finish(outcome, prober);
             }
         }
-    };
+    }
 
-    outcome.status = if upper <= external {
-        MinimizeStatus::Optimal {
-            value: best_value,
-            model: best_model,
-        }
-    } else {
-        MinimizeStatus::ExternalOptimal { value: external }
+    outcome.status = MinimizeStatus::Optimal {
+        value: best_value,
+        model: best_model,
     };
     finish(outcome, prober)
 }

@@ -20,7 +20,7 @@ use std::time::Instant;
 /// previous event.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ProgressEvent {
-    /// Worker index, when the solver runs inside a portfolio/window search.
+    /// Worker index, when the solver runs inside a window search.
     pub worker: Option<usize>,
     /// Conflicts analyzed so far.
     pub conflicts: u64,
@@ -61,7 +61,7 @@ impl ProgressHook {
     }
 
     /// A hook that forwards to `f` after stamping the worker index —
-    /// how a portfolio tags each worker's stream before merging.
+    /// how a parallel search tags each worker's stream before merging.
     pub fn with_worker(&self, worker: usize) -> ProgressHook {
         let inner = self.clone();
         ProgressHook::new(move |ev| {

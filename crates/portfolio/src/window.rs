@@ -1,22 +1,19 @@
 //! Parallel window search: disjoint sub-window scheduling.
 //!
-//! [`crate::minimize_portfolio`] races N *complete* binary searches, so the
-//! terminal UNSAT certification — proving that nothing cheaper than the
-//! incumbent exists, which dominates on the paper's Table-3 instances and
-//! is configuration-insensitive — is repeated N times. This module solves
-//! it **once, divided**: the remaining cost interval `[L, ceiling]` is
-//! split into disjoint sub-windows, one per worker, and every probe result
+//! Racing N *complete* binary searches would repeat the terminal UNSAT
+//! certification — proving that nothing cheaper than the incumbent exists,
+//! which is configuration-insensitive — N times. This module solves it
+//! **once, divided**: the remaining cost interval `[L, ceiling]` is split
+//! into disjoint sub-windows, one per worker, and every probe result
 //! shrinks the interval for everyone:
 //!
-//! * `SAT` in a window yields a model of cost `k`; the incumbent (and the
-//!   shared [`BoundLattice`] upper bound) drops to `k` and the ceiling to
-//!   `k − 1`.
+//! * `SAT` in a window yields a model of cost `k`; the incumbent drops to
+//!   `k` and the ceiling to `k − 1`.
 //! * `UNSAT` of a window `[a, b]` is an exhaustive refutation of that
 //!   range. It is retained as a *fragment*; fragments touching the
-//!   certified lower bound coalesce into it (`fetch_max` on the lattice),
-//!   so the lower bound only ever advances over *contiguously refuted*
-//!   ground — a window refuted above a still-unknown gap does not move `L`
-//!   until the gap closes.
+//!   certified lower bound coalesce into it, so the lower bound only ever
+//!   advances over *contiguously refuted* ground — a window refuted above a
+//!   still-unknown gap does not move `L` until the gap closes.
 //!
 //! The search terminates when `L > ceiling`: with an incumbent that proves
 //! it optimal (every cheaper cost refuted), without one it proves the
@@ -48,12 +45,12 @@ use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use optalloc_intopt::{
-    BinSearchMode, BoundLattice, Certificate, CostProber, EncodeStats, IntProblem, IntVar,
+    Backend, BinSearchMode, Certificate, CostProber, EncodeStats, IntProblem, IntVar,
     MinimizeOptions, MinimizeStatus, Model, Probe, WindowProof,
 };
 use optalloc_sat::{ClauseExchange, SolverStats};
 
-use crate::{Backend, PortfolioOptions, PortfolioOutcome, WorkerReport, WorkerVerdict};
+use crate::{PortfolioOptions, PortfolioOutcome, WorkerReport, WorkerVerdict};
 
 // ----------------------------------------------------------------------
 // Interval arithmetic over the remaining cost range
@@ -140,65 +137,123 @@ fn ceiling_of(lower: i64, incumbent: Option<i64>, hint: &mut Option<i64>, cost_h
 }
 
 // ----------------------------------------------------------------------
-// Racing scheduler
+// Search knowledge, shared by both schedulers
 // ----------------------------------------------------------------------
 
-struct SchedState {
+/// What the search has established so far. The racing scheduler folds
+/// probe results into it under its mutex as they arrive; the deterministic
+/// driver folds a whole round in worker-index order.
+struct Knowledge {
+    /// Certified lower bound: every cost below it is refuted.
+    lower: i64,
     /// Highest cost still worth probing (see [`ceiling_of`]).
     ceiling: i64,
     /// Warm-start ceiling hint, until exhausted or superseded.
     hint: Option<i64>,
-    /// Best witnessed (cost, model), mirrored into the lattice upper bound.
+    /// Best witnessed (cost, model).
     incumbent: Option<(i64, Model)>,
-    /// Refuted intervals above the certified lower bound, sorted, disjoint.
+    /// Refuted intervals above the certified lower bound.
     fragments: Vec<(i64, i64)>,
+    cost_hi: i64,
+    done: bool,
+    /// Worker whose report closed the window.
+    winner: Option<usize>,
+}
+
+impl Knowledge {
+    fn new(cost: IntVar, hint: Option<i64>) -> Knowledge {
+        let hint = hint.filter(|&h| h >= cost.lo).map(|h| h.min(cost.hi));
+        Knowledge {
+            lower: cost.lo,
+            ceiling: hint.unwrap_or(cost.hi),
+            hint,
+            incumbent: None,
+            fragments: Vec::new(),
+            cost_hi: cost.hi,
+            done: false,
+            winner: None,
+        }
+    }
+
+    /// Folds one probe result over `window`; returns whether it added
+    /// knowledge (a better incumbent or a refuted window).
+    fn absorb(&mut self, window: (i64, i64), probe: Probe) -> bool {
+        match probe {
+            Probe::Sat { value, model } => {
+                let better = self.incumbent.as_ref().is_none_or(|(b, _)| value < *b);
+                if better {
+                    self.incumbent = Some((value, model));
+                }
+                better
+            }
+            Probe::Unsat => {
+                self.fragments.push(window);
+                true
+            }
+            // Budget exhaustion and stale-window aborts carry no knowledge.
+            Probe::Unknown | Probe::Interrupted => false,
+        }
+    }
+
+    /// Re-derives the lower bound and the ceiling; once they cross, the
+    /// search is over and `reporter` is credited with closing it.
+    fn settle(&mut self, reporter: usize) {
+        self.lower = coalesce(self.lower, &mut self.fragments);
+        let incumbent = self.incumbent.as_ref().map(|(v, _)| *v);
+        self.ceiling = ceiling_of(self.lower, incumbent, &mut self.hint, self.cost_hi);
+        if self.lower > self.ceiling {
+            self.done = true;
+            self.winner = Some(reporter);
+        }
+    }
+
+    /// The verdict: once a worker closed the window, the incumbent is
+    /// optimal (without one the whole cost range is refuted: infeasible);
+    /// otherwise `Unknown` with the best incumbent.
+    fn into_status(self) -> (MinimizeStatus, Option<usize>) {
+        let status = match (self.winner, self.incumbent) {
+            (None, incumbent) => MinimizeStatus::Unknown { incumbent },
+            (Some(_), None) => MinimizeStatus::Infeasible,
+            (Some(_), Some((value, model))) => MinimizeStatus::Optimal { value, model },
+        };
+        (status, self.winner)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Racing scheduler
+// ----------------------------------------------------------------------
+
+struct SchedState {
+    know: Knowledge,
     /// Window each worker is currently probing.
     inflight: Vec<Option<(i64, i64)>>,
     /// Workers that gave up after a budget-exhausted probe.
     retired: usize,
-    done: bool,
-    infeasible: bool,
-    /// Worker whose report closed the window.
-    winner: Option<usize>,
 }
 
 struct Scheduler {
     state: Mutex<SchedState>,
     cv: Condvar,
-    /// Two-sided shared bound: `lower` is the certified bound the
-    /// coalesced fragments reach, `upper` the incumbent cost.
-    lattice: BoundLattice,
     /// Per-worker cooperative interrupt flags, raised when a worker's
     /// window goes stale or the search completes.
     flags: Vec<Arc<AtomicBool>>,
     /// Number of windows the remaining interval is cut into (`max(2, n)`,
     /// so a 1-worker search still halves the interval per probe).
     parts: usize,
-    cost_hi: i64,
 }
 
 impl Scheduler {
     fn new(n: usize, cost: IntVar, hint: Option<i64>) -> Scheduler {
-        let hint = hint.filter(|&h| h >= cost.lo).map(|h| h.min(cost.hi));
-        let lattice = BoundLattice::new();
-        lattice.publish_lower(cost.lo);
         Scheduler {
             state: Mutex::new(SchedState {
-                ceiling: hint.unwrap_or(cost.hi),
-                hint,
-                incumbent: None,
-                fragments: Vec::new(),
+                know: Knowledge::new(cost, hint),
                 inflight: vec![None; n],
                 retired: 0,
-                done: false,
-                infeasible: false,
-                winner: None,
             }),
             cv: Condvar::new(),
-            lattice,
             flags: (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect(),
             parts: n.max(2),
-            cost_hi: cost.hi,
         }
     }
 
@@ -208,13 +263,12 @@ impl Scheduler {
     fn next(&self, i: usize) -> Option<(i64, i64)> {
         let mut st = self.state.lock().unwrap();
         loop {
-            if st.done {
+            if st.know.done {
                 return None;
             }
-            let lower = self.lattice.lower();
-            let mut blocked = st.fragments.clone();
+            let mut blocked = st.know.fragments.clone();
             blocked.extend(st.inflight.iter().flatten().copied());
-            let unknown = subtract(lower, st.ceiling, &mut blocked);
+            let unknown = subtract(st.know.lower, st.know.ceiling, &mut blocked);
             if let Some(&(a, b)) = unknown.first() {
                 let mass: i64 = unknown.iter().map(|(x, y)| y - x + 1).sum();
                 let chunk = ((mass + self.parts as i64 - 1) / self.parts as i64).max(1);
@@ -232,52 +286,31 @@ impl Scheduler {
     fn report(&self, i: usize, window: (i64, i64), probe: Probe) {
         let mut st = self.state.lock().unwrap();
         st.inflight[i] = None;
-        match probe {
-            Probe::Sat { value, model } => {
-                self.lattice.publish_upper(value);
-                if st.incumbent.as_ref().is_none_or(|(b, _)| value < *b) {
-                    st.incumbent = Some((value, model));
-                }
+        if matches!(probe, Probe::Unknown) {
+            st.retired += 1;
+            if st.retired >= self.flags.len() {
+                st.know.done = true;
             }
-            Probe::Unsat => st.fragments.push(window),
-            Probe::Unknown => {
-                st.retired += 1;
-                if st.retired >= self.flags.len() {
-                    st.done = true;
-                }
-            }
-            // A stale-window abort carries no knowledge.
-            Probe::Interrupted => {}
         }
-        self.refresh(&mut st, i);
-        self.cv.notify_all();
-    }
-
-    fn refresh(&self, st: &mut SchedState, reporter: usize) {
-        if st.done {
-            self.raise_all();
-            return;
+        st.know.absorb(window, probe);
+        if !st.know.done {
+            st.know.settle(i);
         }
-        let lower = coalesce(self.lattice.lower(), &mut st.fragments);
-        let lower = self.lattice.publish_lower(lower);
-        let incumbent = st.incumbent.as_ref().map(|(v, _)| *v);
-        st.ceiling = ceiling_of(lower, incumbent, &mut st.hint, self.cost_hi);
-        if lower > st.ceiling {
-            st.done = true;
-            st.infeasible = st.incumbent.is_none();
-            st.winner = Some(reporter);
+        if st.know.done {
             self.raise_all();
         } else {
             // Interrupt workers whose window fell outside the remaining
             // range (entirely refuted below, or above the new ceiling).
+            let (lower, ceiling) = (st.know.lower, st.know.ceiling);
             for (j, w) in st.inflight.iter().enumerate() {
                 if let Some((a, b)) = w {
-                    if *b < lower || *a > st.ceiling {
+                    if *b < lower || *a > ceiling {
                         self.flags[j].store(true, Ordering::Relaxed);
                     }
                 }
             }
         }
+        self.cv.notify_all();
     }
 
     fn raise_all(&self) {
@@ -292,14 +325,14 @@ impl Scheduler {
     /// [`Scheduler::next`].
     fn cancel(&self) {
         let mut st = self.state.lock().unwrap();
-        st.done = true;
+        st.know.done = true;
         self.raise_all();
         self.cv.notify_all();
     }
 
     /// `true` once the search is over (by any path).
     fn finished(&self) -> bool {
-        self.state.lock().unwrap().done
+        self.state.lock().unwrap().know.done
     }
 }
 
@@ -308,51 +341,26 @@ impl Scheduler {
 // ----------------------------------------------------------------------
 
 struct DetState {
-    lower: i64,
-    ceiling: i64,
-    hint: Option<i64>,
-    incumbent: Option<(i64, Model)>,
-    fragments: Vec<(i64, i64)>,
+    know: Knowledge,
     /// The current round's window plan; worker `i` probes `windows[i]`.
     windows: Vec<(i64, i64)>,
     /// The current round's probe results, indexed by worker.
     results: Vec<Option<Probe>>,
-    done: bool,
-    infeasible: bool,
-    winner: Option<usize>,
 }
 
 /// One deterministic step, run by worker 0 between barriers: fold the
 /// previous round's results in worker-index order, then plan the next
 /// round's windows.
-fn det_step(st: &mut DetState, n: usize, cost_hi: i64) {
+fn det_step(st: &mut DetState, n: usize) {
     let results = std::mem::take(&mut st.results);
     let mut progress = false;
     for (j, r) in results.into_iter().enumerate() {
         let Some(r) = r else { continue };
-        let window = st.windows[j];
-        match r {
-            Probe::Sat { value, model } => {
-                if st.incumbent.as_ref().is_none_or(|(b, _)| value < *b) {
-                    st.incumbent = Some((value, model));
-                    progress = true;
-                }
-            }
-            Probe::Unsat => {
-                st.fragments.push(window);
-                progress = true;
-            }
-            Probe::Unknown | Probe::Interrupted => {}
-        }
+        progress |= st.know.absorb(st.windows[j], r);
         // Re-derive bounds after every fold step so the winner — the
         // worker whose result closes the window — is index-deterministic.
-        st.lower = coalesce(st.lower, &mut st.fragments);
-        let incumbent = st.incumbent.as_ref().map(|(v, _)| *v);
-        st.ceiling = ceiling_of(st.lower, incumbent, &mut st.hint, cost_hi);
-        if st.lower > st.ceiling {
-            st.done = true;
-            st.infeasible = st.incumbent.is_none();
-            st.winner = Some(j);
+        st.know.settle(j);
+        if st.know.done {
             return;
         }
     }
@@ -360,10 +368,14 @@ fn det_step(st: &mut DetState, n: usize, cost_hi: i64) {
         // A full round with zero new knowledge: every probed window came
         // back Unknown. Re-running the identical round would loop forever;
         // give up with the incumbent.
-        st.done = true;
+        st.know.done = true;
         return;
     }
-    let unknown = subtract(st.lower, st.ceiling, &mut st.fragments.clone());
+    let unknown = subtract(
+        st.know.lower,
+        st.know.ceiling,
+        &mut st.know.fragments.clone(),
+    );
     st.windows = split(&unknown, n.max(2));
     st.windows.truncate(n);
     st.results = vec![None; n];
@@ -387,10 +399,10 @@ struct WorkerRun {
 /// Minimizes `cost` over `problem` with a parallel window search (see the
 /// module docs for the protocol and the determinism contract). The
 /// [`PortfolioOptions::base`] options configure every worker's solver; its
-/// coordination fields (`bounds`, `on_incumbent`, `solver_config.exchange`)
-/// are overwritten by the scheduler. `solver_config.interrupt` is honoured
-/// as the job-scoped cancel flag: raising it ends the search cooperatively
-/// with an `Unknown` outcome carrying the best incumbent.
+/// `mode` and `solver_config.exchange` fields are overwritten by the
+/// scheduler. `solver_config.interrupt` is honoured as the job-scoped
+/// cancel flag: raising it ends the search cooperatively with an `Unknown`
+/// outcome carrying the best incumbent.
 pub fn minimize_window_search(
     problem: &IntProblem,
     cost: IntVar,
@@ -402,11 +414,8 @@ pub fn minimize_window_search(
         .map(Arc::new);
     let worker_opts = |i: usize| {
         let mut w = opts.base.clone();
-        // The prober is incremental by construction; window disjointness
-        // replaces configuration diversity.
+        // The prober is incremental by construction.
         w.mode = BinSearchMode::Incremental;
-        w.bounds = None;
-        w.on_incumbent = None;
         // Deterministic workers poll the caller's job-scoped interrupt flag
         // directly (an externally-aborted round makes no progress, which
         // terminates the barrier loop). Racing workers get a per-worker
@@ -482,7 +491,7 @@ pub fn minimize_window_search(
         }),
         _ => None,
     };
-    let outcome = PortfolioOutcome {
+    PortfolioOutcome {
         status,
         solve_calls,
         encode: runs[0].encode,
@@ -490,13 +499,7 @@ pub fn minimize_window_search(
         winner,
         workers,
         certificate,
-    };
-    if opts.verbose {
-        for w in &outcome.workers {
-            eprintln!("{w}");
-        }
     }
-    outcome
 }
 
 #[allow(clippy::type_complexity)]
@@ -557,18 +560,8 @@ fn run_racing(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let st = sched.state.into_inner().unwrap();
-    let status = if !st.done || st.winner.is_none() {
-        MinimizeStatus::Unknown {
-            incumbent: st.incumbent,
-        }
-    } else if st.infeasible {
-        MinimizeStatus::Infeasible
-    } else {
-        let (value, model) = st.incumbent.expect("closed window without incumbent");
-        MinimizeStatus::Optimal { value, model }
-    };
-    (status, st.winner, runs)
+    let (status, winner) = sched.state.into_inner().unwrap().know.into_status();
+    (status, winner, runs)
 }
 
 #[allow(clippy::type_complexity)]
@@ -579,22 +572,10 @@ fn run_deterministic(
     n: usize,
     worker_opts: &dyn Fn(usize) -> MinimizeOptions,
 ) -> (MinimizeStatus, Option<usize>, Vec<WorkerRun>) {
-    let hint = opts
-        .base
-        .initial_upper
-        .filter(|&h| h >= cost.lo)
-        .map(|h| h.min(cost.hi));
     let state = Mutex::new(DetState {
-        lower: cost.lo,
-        ceiling: hint.unwrap_or(cost.hi),
-        hint,
-        incumbent: None,
-        fragments: Vec::new(),
+        know: Knowledge::new(cost, opts.base.initial_upper),
         windows: Vec::new(),
         results: Vec::new(),
-        done: false,
-        infeasible: false,
-        winner: None,
     });
     let barrier = Barrier::new(n);
 
@@ -613,13 +594,13 @@ fn run_deterministic(
                         // no-op on the first pass) and plans the next one.
                         barrier.wait();
                         if i == 0 {
-                            det_step(&mut state.lock().unwrap(), n, cost.hi);
+                            det_step(&mut state.lock().unwrap(), n);
                         }
                         barrier.wait();
                         // Phase B: probe the assigned window, if any.
                         let (done, my_window) = {
                             let st = state.lock().unwrap();
-                            (st.done, st.windows.get(i).copied())
+                            (st.know.done, st.windows.get(i).copied())
                         };
                         if done {
                             break;
@@ -644,18 +625,8 @@ fn run_deterministic(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let st = state.into_inner().unwrap();
-    let status = if st.winner.is_none() {
-        MinimizeStatus::Unknown {
-            incumbent: st.incumbent,
-        }
-    } else if st.infeasible {
-        MinimizeStatus::Infeasible
-    } else {
-        let (value, model) = st.incumbent.expect("closed window without incumbent");
-        MinimizeStatus::Optimal { value, model }
-    };
-    (status, st.winner, runs)
+    let (status, winner) = state.into_inner().unwrap().know.into_status();
+    (status, winner, runs)
 }
 
 #[cfg(test)]

@@ -291,10 +291,6 @@ pub struct SolverConfig {
     pub max_conflicts: Option<u64>,
     /// Default phase for unassigned decision variables.
     pub default_phase: bool,
-    /// If set, fresh variables get a pseudo-random initial phase derived
-    /// from this seed (instead of `default_phase`). Used by the portfolio
-    /// runner to diversify otherwise-identical workers.
-    pub phase_seed: Option<u64>,
     /// Cooperative cancellation: when the flag becomes true, `solve`
     /// returns [`SolveResult::Interrupted`] at the next conflict or
     /// decision boundary. The solver stays sound and reusable.
@@ -376,8 +372,8 @@ pub struct SolverConfig {
     pub progress_every_conflicts: u64,
     /// Minimum wall-clock milliseconds between emitted progress events.
     pub progress_interval_ms: u64,
-    /// Worker index stamped on emitted progress events (portfolio/window
-    /// searches tag each worker's stream before merging).
+    /// Worker index stamped on emitted progress events (window search
+    /// tags each worker's stream before merging).
     pub progress_worker: Option<usize>,
     /// Cost window `[lo, hi]` stamped on emitted progress events; the
     /// bisection loop updates it before each probe.
@@ -406,7 +402,6 @@ impl Default for SolverConfig {
             reduce_grow: 1.2,
             max_conflicts: None,
             default_phase: false,
-            phase_seed: None,
             interrupt: None,
             exchange: None,
             share_writer: 0,
@@ -764,11 +759,7 @@ impl Solver {
         self.reason.push(Reason::None);
         self.trail_pos.push(0);
         self.activity.push(0.0);
-        let phase = match self.config.phase_seed {
-            Some(seed) => splitmix64(seed ^ v.index() as u64) & 1 == 1,
-            None => self.config.default_phase,
-        };
-        self.saved_phase.push(phase);
+        self.saved_phase.push(self.config.default_phase);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -2517,16 +2508,6 @@ fn shrink_excess<T>(v: &mut Vec<T>) -> usize {
     before - v.capacity()
 }
 
-/// SplitMix64 finalizer; mixes a seed into a well-distributed word. Used for
-/// the per-variable pseudo-random initial phases under
-/// [`SolverConfig::phase_seed`].
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…
 fn luby(mut i: u64) -> u64 {
     // Find the finite subsequence containing index i, then recurse.
@@ -3043,35 +3024,6 @@ mod tests {
         assert_eq!(s.clear_learned(), 0);
         assert_eq!(s.num_learned(), 0);
         assert_eq!(s.solve(&[]), SolveResult::Sat);
-    }
-
-    #[test]
-    fn phase_seed_diversifies_initial_phases() {
-        let mut seeded = Solver::new();
-        seeded.config.phase_seed = Some(0xDEAD_BEEF);
-        let mut plain = Solver::new();
-        let mut phases = Vec::new();
-        for _ in 0..64 {
-            let v = seeded.new_var();
-            plain.new_var();
-            // Before any solving, saved phase == initial phase; probe it via
-            // a trivially satisfiable instance below instead of private state.
-            phases.push(v);
-        }
-        // All-default phases are uniform `false`; a seeded solver must pick a
-        // mix. Solve an unconstrained instance so the model exposes phases.
-        assert_eq!(seeded.solve(&[]), SolveResult::Sat);
-        assert_eq!(plain.solve(&[]), SolveResult::Sat);
-        let seeded_trues = phases
-            .iter()
-            .filter(|v| seeded.model_value(v.positive()))
-            .count();
-        let plain_trues = phases
-            .iter()
-            .filter(|v| plain.model_value(v.positive()))
-            .count();
-        assert_eq!(plain_trues, 0);
-        assert!(seeded_trues > 8 && seeded_trues < 56);
     }
 
     #[test]

@@ -471,11 +471,11 @@ fn check_engine_grid(spec: &InstanceSpec, opts: &SolveOptions) -> Result<bool, S
             },
         ),
         (
-            "portfolio",
+            "window-racing",
             SolveOptions {
-                strategy: Strategy::Portfolio {
+                strategy: Strategy::WindowSearch {
                     workers: 2,
-                    deterministic: true,
+                    deterministic: false,
                 },
                 ..opts.clone()
             },

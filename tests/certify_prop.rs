@@ -176,9 +176,10 @@ proptest! {
     }
 }
 
-/// Fixed-seed token-ring instances: all three strategies produce accepted
-/// certificates over the *same* optimum, including the slot-variable
-/// (TRT) objective that exercises guarded window claims hardest.
+/// Fixed-seed token-ring instances: the single search and both
+/// window-search modes produce accepted certificates over the *same*
+/// optimum, including the slot-variable (TRT) objective that exercises
+/// guarded window claims hardest.
 #[test]
 fn all_strategies_certify_the_same_trt_optimum() {
     let ring = MediumId(0);
@@ -186,13 +187,13 @@ fn all_strategies_certify_the_same_trt_optimum() {
         let w = generate(&tiny(seed, 7, true));
         let strategies = [
             Strategy::Single,
-            Strategy::Portfolio {
+            Strategy::WindowSearch {
                 workers: 2,
                 deterministic: true,
             },
             Strategy::WindowSearch {
                 workers: 2,
-                deterministic: true,
+                deterministic: false,
             },
         ];
         let mut costs = Vec::new();
